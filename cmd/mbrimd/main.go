@@ -166,6 +166,10 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
+	// Catch SIGTERM/SIGINT before the listener opens: once /readyz can
+	// answer 200, a signal must drain the daemon, not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbrimd:", err)
@@ -203,8 +207,6 @@ func main() {
 		replaying.Store(false)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-errCh:

@@ -387,8 +387,13 @@ func (ma *Machine) ExternalBias() []float64 { return ma.ext }
 // deriv computes dV/dt into out for voltages v at schedule progress p.
 // The shared kernel fans rows over Workers at fixed chunk boundaries;
 // rows are disjoint and the inputs read-only, so the result is
-// bit-identical to the sequential path at any worker count.
+// bit-identical to the sequential path at any worker count. The serial
+// path calls derivRange directly: no closure, no allocation per call.
 func (ma *Machine) deriv(v []float64, p float64, out []float64) {
+	if lattice.Inline(ma.n, ma.cfg.Workers) {
+		ma.derivRange(v, p, out, 0, ma.n)
+		return
+	}
 	lattice.ForRange(ma.n, ma.cfg.Workers, func(lo, hi int) {
 		ma.derivRange(v, p, out, lo, hi)
 	})

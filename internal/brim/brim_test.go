@@ -360,3 +360,30 @@ func BenchmarkStepN256(b *testing.B) {
 		}
 	}
 }
+
+// TestSerialStepZeroAlloc pins one RK4 step of a serial machine at zero
+// allocations: with Workers ≤ 1 the derivative calls the kernel
+// directly instead of building a closure for lattice.ForRange, and the
+// step reuses the machine's stage buffers. n=300 is above one kernel
+// chunk, so the Workers setting alone keeps it serial.
+func TestSerialStepZeroAlloc(t *testing.T) {
+	for _, n := range []int{64, 300} {
+		m := graph.Complete(n, rng.New(uint64(n))).ToIsing()
+		for _, workers := range []int{0, 1} {
+			ma := New(m, Config{Seed: 1, Workers: workers})
+			ma.SetHorizon(100)
+			dt := ma.cfg.Dt
+			if err := ma.guardedStep(dt, ma.trialStep); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := ma.guardedStep(dt, ma.trialStep); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d Workers=%d: one RK4 step allocates %v times, want 0", n, workers, allocs)
+			}
+		}
+	}
+}

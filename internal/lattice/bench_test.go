@@ -135,3 +135,26 @@ func BenchmarkBlockedMatVec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDenseKernel times the serial dense kernels at the sizes the
+// multichip and digital-baseline workloads run them: MatVec over a
+// 64-spin chip block (the mbrim-k256 RK4 derivative) and Fields over a
+// dense K512 (the dSBM force).
+func BenchmarkDenseKernel(b *testing.B) {
+	mv := newBenchSetup(64, 1)
+	c64 := FromDense(64, mv.data, Dense, 0)
+	b.Run("MatVec/n=64", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			MatVec(c64, mv.v, nil, mv.out, 1)
+		}
+	})
+	fs := newBenchSetup(512, 1)
+	c512 := FromDense(512, fs.data, Dense, 0)
+	b.Run("Fields/n=512", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			Fields(c512, fs.spins, nil, fs.out, 1)
+		}
+	})
+}

@@ -14,11 +14,17 @@ import (
 // that tail chunks balance.
 const KernelChunk = 256
 
+// Inline reports whether ForRange(n, workers, fn) runs as the single
+// call fn(0, n): one worker, or no more than one chunk of rows. Hot
+// callers test it first and call their range function directly, so the
+// serial path builds no closure and allocates nothing.
+func Inline(n, workers int) bool { return workers <= 1 || n <= KernelChunk }
+
 // ForRange runs fn(lo, hi) over [0, n) split at fixed KernelChunk
 // boundaries, fanning chunks over min(workers, chunks) goroutines
 // pulling from an atomic counter. fn must write only state owned by
-// rows [lo, hi). workers <= 1 runs inline as a single fn(0, n) call —
-// bit-identical for row-wise fn, because each row's work is
+// rows [lo, hi). When Inline(n, workers) it runs as a single fn(0, n)
+// call — bit-identical for row-wise fn, because each row's work is
 // independent of the chunk it arrives in. Reductions must NOT use
 // ForRange directly; use SumOrdered, which keeps the per-chunk
 // structure on the serial path too.
@@ -26,13 +32,13 @@ func ForRange(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	if Inline(n, workers) {
+		fn(0, n)
+		return
+	}
 	chunks := (n + KernelChunk - 1) / KernelChunk
 	if workers > chunks {
 		workers = chunks
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -60,13 +66,23 @@ func ForRange(n, workers int, fn func(lo, hi int)) {
 // MatVec fills out[i] = base[i] + Σ_j J_ij·x[j] over all rows, fanned
 // over workers. Bit-identical across worker counts and backends.
 func MatVec(c Coupling, x, base, out []float64, workers int) {
-	ForRange(c.N(), workers, func(lo, hi int) { c.MatVecRange(x, base, out, lo, hi) })
+	n := c.N()
+	if Inline(n, workers) {
+		c.MatVecRange(x, base, out, 0, n)
+		return
+	}
+	ForRange(n, workers, func(lo, hi int) { c.MatVecRange(x, base, out, lo, hi) })
 }
 
 // Fields fills out[i] = base[i] + Σ_j J_ij·σ_j over all rows, fanned
 // over workers. Bit-identical across worker counts and backends.
 func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
-	ForRange(c.N(), workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
+	n := c.N()
+	if Inline(n, workers) {
+		c.FieldsRange(spins, base, out, 0, n)
+		return
+	}
+	ForRange(n, workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
 }
 
 // SumOrdered reduces fn over [0, n) in fixed KernelChunk pieces,

@@ -35,6 +35,13 @@
 //     accumulator that starts at +0 can never become −0 (x + (−x)
 //     rounds to +0 under round-to-nearest), and adding ±0 to such an
 //     accumulator is the identity.
+//
+// The dense kernels accumulate a block of rows at once (see rowBlock)
+// without touching this contract. Rows are independent: each keeps its
+// own accumulator, starts from base[i] and adds its terms in ascending
+// column order, exactly as the one-row loop does. Blocking only
+// interleaves the add chains of different rows, so every output has
+// the same bits as before, −0 bases and the zero skip included.
 package lattice
 
 import (

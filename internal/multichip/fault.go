@@ -320,8 +320,12 @@ func (s *System) faultSend(epochNo, ci int, ups []update, tr obs.Tracer) (total,
 	}
 
 	payload := ups
-	if corrupt {
+	if corrupt || plan.Delay {
+		// ups is syncEpoch's reused buffer: a payload that is altered
+		// or parked for the next epoch gets its own copy.
 		payload = append([]update(nil), ups...)
+	}
+	if corrupt {
 		i := int(salt % uint64(len(payload)))
 		payload[i].v = -payload[i].v
 	}

@@ -320,3 +320,35 @@ func TestFaultyBatchDeterministicAcrossParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestDelayedBroadcastKeepsItsPayload pins that a delayed broadcast
+// owns its updates: syncEpoch refills one update buffer chip after
+// chip, so a message parked for next epoch must hold a copy. With
+// every message delayed and every chip sending, each pending message
+// must still carry exactly its sender's owned spins.
+func TestDelayedBroadcastKeepsItsPayload(t *testing.T) {
+	s := MustSystem(kgraph(64, 1), Config{Chips: 4, Seed: 1,
+		Faults: fault.Config{Seed: 3, DelayRate: 1}})
+	s.beginFaultEpoch(1, 100, nil)
+	for _, belief := range s.receiverBelief {
+		for li := range belief {
+			belief[li] = -belief[li]
+		}
+	}
+	s.syncEpoch(1, nil)
+	if len(s.frt.pending) != len(s.chips) {
+		t.Fatalf("%d pending messages, want one per chip (%d)", len(s.frt.pending), len(s.chips))
+	}
+	for _, msg := range s.frt.pending {
+		c := s.chips[msg.from]
+		if len(msg.ups) != len(c.owned) {
+			t.Fatalf("chip %d: pending message carries %d updates, want %d", msg.from, len(msg.ups), len(c.owned))
+		}
+		for _, u := range msg.ups {
+			if u.g != c.owned[u.li] || u.v != c.machine.Spins()[u.li] {
+				t.Fatalf("chip %d: pending update %+v is not its own spin %d = %d",
+					msg.from, u, c.owned[u.li], c.machine.Spins()[u.li])
+			}
+		}
+	}
+}

@@ -235,6 +235,9 @@ type System struct {
 	// disabled, which keeps every run mode bit-identical to the
 	// fault-free simulation.
 	frt *faultRuntime
+	// syncUps is syncEpoch's update buffer, reused for every chip and
+	// epoch; anything that keeps a payload past the send copies it.
+	syncUps []update
 
 	// Live span context, valid only while a run-mode epoch is open.
 	// spEpoch is the current epoch (or round) interval; spChips the
@@ -416,12 +419,13 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 			continue
 		}
 		cur := c.machine.Spins()
-		var ups []update
+		ups := s.syncUps[:0]
 		for li, g := range c.owned {
 			if cur[li] != s.receiverBelief[ci][li] {
 				ups = append(ups, update{li, g, cur[li], c.lastFlipInduced[li]})
 			}
 		}
+		s.syncUps = ups
 		if len(ups) == 0 {
 			continue
 		}

@@ -384,3 +384,29 @@ func TestSystemInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSyncEpochReusesUpdateBuffer pins the fault-free boundary sync at
+// zero allocations once its update buffer has grown. Inverting the
+// belief ledger before each call makes every chip send every owned
+// spin, so the buffer is refilled to its largest size every time.
+func TestSyncEpochReusesUpdateBuffer(t *testing.T) {
+	n := 64
+	s, err := NewSystem(kgraph(n, 1), Config{Chips: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := func() {
+		for _, belief := range s.receiverBelief {
+			for li := range belief {
+				belief[li] = -belief[li]
+			}
+		}
+		if total, _ := s.syncEpoch(1, nil); total != int64(n) {
+			t.Fatalf("sync sent %d updates, want all %d", total, n)
+		}
+	}
+	sync()
+	if allocs := testing.AllocsPerRun(50, sync); allocs != 0 {
+		t.Fatalf("fault-free syncEpoch allocates %v times per call, want 0", allocs)
+	}
+}
